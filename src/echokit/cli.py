@@ -10,7 +10,6 @@ numerical-check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,6 +20,16 @@ from . import dataset, dsp, features, losses, metrics, sensing
 from .config import PipelineConfig
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echokit",
@@ -29,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="pipeline config file (key = value lines)")
     parser.add_argument("--print-config", action="store_true",
                         help="echo the resolved configuration and continue")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for batch subcommands")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel workers for batch subcommands (at least 1)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="write the multi-tone transmit waveform")
@@ -281,18 +290,13 @@ def _spectrogram_for_lsd(buf, cfg: PipelineConfig, use_mel: bool) -> np.ndarray:
 
 def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
     base = Path(args.pairs).parent
-    pairs = []
-    for ln, line in enumerate(Path(args.pairs).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        pairs.append((rec["id"], base / rec["clean"], base / rec["processed"]))
+    records = dataset.read_json_lines(args.pairs, ("id", "clean", "processed"))
+    pairs = [(rec["id"], base / rec["clean"], base / rec["processed"])
+             for _, rec in records]
     pesq_by_id = {}
     if args.pesq:
-        for line in Path(args.pesq).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rec = json.loads(line)
-                pesq_by_id[rec["id"]] = float(rec["pesq"])
+        for _, rec in dataset.read_json_lines(args.pesq, ("id", "pesq")):
+            pesq_by_id[rec["id"]] = float(rec["pesq"])
 
     def work(item):
         pid, clean_path, proc_path = item

@@ -20,6 +20,7 @@ import numpy as np
 from .sensing import SampleBuffer, mix_at_snr
 
 KINDS = ("clean", "noise", "noisy", "ultrasound-feature", "mel-feature")
+RECORD_KEYS = ("id", "speaker_id", "path", "duration_s", "kind")
 DEFAULT_SNR_GRID = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 
 
@@ -47,8 +48,7 @@ class ManifestEntry:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ManifestEntry":
-        known = {"id", "speaker_id", "path", "duration_s", "kind"}
-        extra = {k: v for k, v in rec.items() if k not in known}
+        extra = {k: v for k, v in rec.items() if k not in RECORD_KEYS}
         return cls(rec["id"], rec["speaker_id"], rec["path"],
                    float(rec["duration_s"]), rec["kind"], extra)
 
@@ -85,13 +85,7 @@ class Manifest:
     def load(cls, path, check_paths: bool = True) -> "Manifest":
         base = Path(path).parent
         entries = []
-        for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{ln}: bad manifest record: {exc}") from exc
+        for ln, rec in read_json_lines(path, RECORD_KEYS):
             entry = ManifestEntry.from_record(rec)
             if check_paths:
                 p = Path(entry.path)
@@ -104,6 +98,29 @@ class Manifest:
     def resolve_path(self, entry: ManifestEntry, base) -> Path:
         p = Path(entry.path)
         return p if p.is_absolute() else Path(base) / p
+
+
+def read_json_lines(path, keys=()) -> list:
+    """(line number, record) for every nonblank line of a JSON-lines file.
+
+    A line that is not a JSON object, or that lacks one of ``keys``, raises
+    ValueError naming PATH:LINE.
+    """
+    records = []
+    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{ln}: bad JSON record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{ln}: record is not a JSON object")
+        for key in keys:
+            if key not in rec:
+                raise ValueError(f"{path}:{ln}: missing key {key!r}")
+        records.append((ln, rec))
+    return records
 
 
 @dataclass(frozen=True)
@@ -241,7 +258,11 @@ def save_wav(path, buf: SampleBuffer, encoding: str = "float32") -> None:
 
 
 def load_wav(path) -> SampleBuffer:
-    """Read a mono RIFF/WAVE file (PCM16 or float32); fs comes from the header."""
+    """Read a mono RIFF/WAVE file (PCM16 or float32); fs comes from the header.
+
+    NaN or infinite samples raise ValueError, so they never reach a feature
+    or a mixture.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
@@ -274,4 +295,7 @@ def load_wav(path) -> SampleBuffer:
             f"{path}: unsupported format (fmt={audio_fmt}, bits={bits}); "
             "expected PCM16 or float32"
         )
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: {np.count_nonzero(~np.isfinite(samples))} "
+                         "non-finite samples")
     return SampleBuffer(float(fs), samples)

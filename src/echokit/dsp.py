@@ -23,6 +23,9 @@ MEL_N_FFT = 1024
 MEL_WIN = 400
 MEL_HOP = 80
 LOG_FLOOR = 1e-10
+# Complex STFT output held at once by the block paths: 255 frames at
+# n_fft = 4096, 1022 at 1024.
+STFT_BLOCK_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,28 @@ def stft(x: SampleBuffer, n_fft: int = ULTRA_N_FFT, win_len: int = ULTRA_WIN,
     return ComplexSpectrogram(frames, n_fft, win_len, hop, x.fs, window_kind)
 
 
+def _stft_blocks(x: SampleBuffer, n_fft: int, win_len: int, hop: int,
+                 window_kind: str):
+    """Yield ``stft(x)`` over consecutive frame blocks.
+
+    The frames are split into the fewest equal-sized blocks (sizes differ by
+    at most one) whose complex output fits STFT_BLOCK_BYTES.  Block [t0, t1)
+    is the STFT of samples [t0*hop, (t1-1)*hop + win_len), so the blocks
+    concatenate to the one-shot frames bit for bit.  Equal sizes leave no
+    short tail block: BLAS multiplies a matrix of a few rows with another
+    kernel, which would round a consumer's matmul differently from the
+    one-shot call.  Arguments ``stft`` rejects (including a signal shorter
+    than one window) reach it in the first block and raise the same error.
+    """
+    n_frames = (len(x) - win_len) // hop + 1 if hop >= 1 and len(x) >= win_len else 1
+    per_block = max(1, STFT_BLOCK_BYTES // (16 * (n_fft // 2 + 1)))
+    n_blocks = -(-n_frames // per_block)
+    bounds = [n_frames * i // n_blocks for i in range(n_blocks + 1)]
+    for t0, t1 in zip(bounds, bounds[1:]):
+        block = SampleBuffer(x.fs, x.samples[t0 * hop:(t1 - 1) * hop + win_len])
+        yield stft(block, n_fft=n_fft, win_len=win_len, hop=hop, window_kind=window_kind)
+
+
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -268,13 +293,14 @@ def mel_spectrogram(x: SampleBuffer, n_mels: int = 128, n_fft: int = MEL_N_FFT,
     """Log-Mel energies of a 16 kHz signal, one frame per hop (5 ms default).
 
     Power STFT -> triangular Mel filterbank -> natural log with an absolute
-    floor so all values stay finite.
+    floor so all values stay finite.  The STFT is taken in blocks of
+    STFT_BLOCK_BYTES and each block is reduced to Mel bands before the next
+    is computed, so the working set does not grow with the signal; the
+    frames equal the one-shot computation bit for bit.
     """
     if x.fs != MEL_FS:
         raise ValueError("mel_spectrogram expects a 16 kHz input")
-    spec = stft(x, n_fft=n_fft, win_len=win_len, hop=hop, window_kind=window_kind)
-    power = np.abs(spec.frames) ** 2
     fb = mel_filterbank(n_mels, n_fft, x.fs, fmin, fmax)
-    energies = power @ fb.T
-    frames = np.log(np.maximum(energies, log_floor))
-    return MelFeature(frames, x.fs, hop, fmin, fmax)
+    frames = [np.log(np.maximum(np.abs(spec.frames) ** 2 @ fb.T, log_floor))
+              for spec in _stft_blocks(x, n_fft, win_len, hop, window_kind)]
+    return MelFeature(np.concatenate(frames), x.fs, hop, fmin, fmax)

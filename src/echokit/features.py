@@ -110,11 +110,19 @@ def ultrasound_feature_from_capture(x: SampleBuffer, cfg: ToneConfig,
                                     hop: int = dsp.ULTRA_HOP,
                                     window_kind: str = "hann",
                                     db_floor: float = DB_FLOOR) -> UltrasoundFeature:
-    """Full chain from a raw 48 kHz capture: STFT then Doppler-band reduction."""
+    """Full chain from a raw 48 kHz capture: STFT then Doppler-band reduction.
+
+    The STFT is taken in blocks of ``dsp.STFT_BLOCK_BYTES`` and each block is
+    reduced to its retained bins before the next is computed, so the full
+    T x (n_fft/2 + 1) spectrogram never exists; ``frames`` and ``per_tone``
+    equal the one-shot reduction bit for bit.
+    """
     if x.fs != cfg.fs:
         raise ValueError("capture sample rate does not match tone config")
-    spec = dsp.stft(x, n_fft=n_fft, win_len=win_len, hop=hop, window_kind=window_kind)
-    return extract_ultrasound_feature(spec, cfg, db_floor=db_floor)
+    parts = [extract_ultrasound_feature(spec, cfg, db_floor=db_floor)
+             for spec in dsp._stft_blocks(x, n_fft, win_len, hop, window_kind)]
+    return UltrasoundFeature(np.concatenate([p.frames for p in parts]), cfg, x.fs, hop,
+                             per_tone=np.concatenate([p.per_tone for p in parts]))
 
 
 def extract_mel_feature(x: SampleBuffer, lowpass: FilterCascade | None = None,

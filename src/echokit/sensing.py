@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 SOUND_SPEED = 340.0  # m/s in air at ~15 C
+SYNTH_BLOCK = 2 ** 16  # samples per block of the tone generators
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -150,16 +151,17 @@ def synth_multitone(cfg: ToneConfig, duration: float,
     """Generate the multi-tone transmit waveform.
 
     samples[k] = amplitude * sum_i cos(2*pi*f_i*k/fs + phi_i); phases default
-    to zero for every tone.
+    to zero for every tone.  Samples are generated in blocks of SYNTH_BLOCK,
+    so temporaries stay a fixed size whatever the duration.
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
     phi = _check_phases(cfg, phases)
     n = int(round(duration * cfg.fs))
-    t = np.arange(n) / cfg.fs
     out = np.zeros(n)
-    for f_i, p_i in zip(cfg.tone_freqs, phi):
-        out += np.cos(2 * np.pi * f_i * t + p_i)
+    for seg, t in _time_blocks(out, cfg.fs):
+        for f_i, p_i in zip(cfg.tone_freqs, phi):
+            seg += np.cos(2 * np.pi * f_i * t + p_i)
     out *= cfg.amplitude
     return SampleBuffer(cfg.fs, out)
 
@@ -175,20 +177,32 @@ def simulate_reflection(tx: SampleBuffer,
         reflectivity_p * cos(2*pi*f_i*(t - 2*d_p(t)/c) + phi_i)
 
     i.e. the narrowband quasi-static model with round-trip delay.  Multiple
-    reflectors superpose linearly.
+    reflectors superpose linearly.  The output is built in blocks of
+    SYNTH_BLOCK samples; ``range_m`` is called once per block with that
+    block's times, which is why it must be elementwise.
     """
     if tx.fs != cfg.fs:
         raise ValueError("tx sample rate does not match tone config")
     phi = _check_phases(cfg, phases)
     profiles = [profile] if isinstance(profile, MotionProfile) else list(profile)
-    t = tx.times()
-    out = np.zeros(len(t))
-    for p in profiles:
-        d = p.ranges(t)
-        delayed = t - 2.0 * d / p.c
-        for f_i, p_i in zip(cfg.tone_freqs, phi):
-            out += p.reflectivity * np.cos(2 * np.pi * f_i * delayed + p_i)
+    out = np.zeros(len(tx))
+    for seg, t in _time_blocks(out, tx.fs):
+        for p in profiles:
+            delayed = t - 2.0 * p.ranges(t) / p.c
+            for f_i, p_i in zip(cfg.tone_freqs, phi):
+                seg += p.reflectivity * np.cos(2 * np.pi * f_i * delayed + p_i)
     return SampleBuffer(tx.fs, out)
+
+
+def _time_blocks(out: np.ndarray, fs: float):
+    """Yield (view of out, sample times) over consecutive SYNTH_BLOCK blocks.
+
+    Times are k/fs for the block's sample indices k, the same values as the
+    full-length ``np.arange(len(out)) / fs``.
+    """
+    for k0 in range(0, len(out), SYNTH_BLOCK):
+        k1 = min(k0 + SYNTH_BLOCK, len(out))
+        yield out[k0:k1], np.arange(k0, k1) / fs
 
 
 def doppler_shift(delta_v: float, f_c: float, c: float = SOUND_SPEED) -> float:

@@ -38,6 +38,14 @@ class TestGlobalOptions:
                      "--out", str(tmp_path / "x.wav")]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+        assert main(["--jobs", jobs, "split", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--train-out", str(tmp_path / "a.jsonl"),
+                     "--test-out", str(tmp_path / "b.jsonl")]) == 1
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "a.jsonl").exists()
+
     def test_config_round_trips_through_print(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("f0 = 18000\nn_tones = 4\n")
@@ -161,6 +169,32 @@ class TestMixSplit:
         assert rc == 1
         assert "pool" in capsys.readouterr().err
 
+    def test_mix_nan_noise_is_input_error(self, corpus, capsys):
+        save_wav(corpus / "n0.wav", SampleBuffer(16000, np.r_[np.ones(3199), np.nan]))
+        Manifest([ManifestEntry("n0", "noise", "n0.wav", 0.2, "noise")]).save(
+            corpus / "nan.jsonl")
+        rc = main(["mix", "--clean", str(corpus / "clean.jsonl"),
+                   "--noise", str(corpus / "nan.jsonl"),
+                   "--out-dir", str(corpus / "m"), "--manifest-out",
+                   str(corpus / "m.jsonl"), "--noises-per-clean", "1"])
+        assert rc == 1
+        assert "n0.wav: 1 non-finite samples" in capsys.readouterr().err
+        assert not list((corpus / "m").glob("*.wav"))
+        assert not (corpus / "m.jsonl").exists()
+
+    def test_manifest_missing_key_is_one_line_error(self, tmp_path, capsys):
+        manifest = tmp_path / "all.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "a", "speaker_id": "s", "path": "a.wav",
+                        "duration_s": 1.0, "kind": "clean"}) + "\n\n"
+            + json.dumps({"speaker_id": "s", "path": "b.wav",
+                          "duration_s": 1.0, "kind": "clean"}) + "\n")
+        rc = main(["split", "--manifest", str(manifest),
+                   "--train-out", str(tmp_path / "train.jsonl"),
+                   "--test-out", str(tmp_path / "test.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {manifest}:3: missing key 'id'\n"
+
     def test_split(self, tmp_path):
         entries = [ManifestEntry(f"s{s}-r{i}", f"s{s}", f"s{s}-r{i}.wav", 1.0, "clean")
                    for s in range(2) for i in range(5)]
@@ -218,6 +252,25 @@ class TestEvaluate:
         assert main(["evaluate", "--pairs", str(pairs_file), "--out", str(out)]) == 1
         assert len(out.read_text().splitlines()) == 1
         assert "p1" in capsys.readouterr().err
+
+    def test_pairs_missing_key_is_one_line_error(self, pairs, capsys):
+        base, pairs_file = pairs
+        pairs_file.write_text(json.dumps({"id": "p0", "clean": "clean.wav"}) + "\n")
+        out = base / "report.jsonl"
+        assert main(["evaluate", "--pairs", str(pairs_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {pairs_file}:1: missing key 'processed'\n"
+        assert not out.exists()
+
+    def test_pesq_missing_key_is_one_line_error(self, pairs, capsys):
+        base, pairs_file = pairs
+        pesq = base / "pesq.jsonl"
+        pesq.write_text(json.dumps({"id": "p0", "pesq": 3.1}) + "\n"
+                        + json.dumps({"id": "p1"}) + "\n")
+        out = base / "report.jsonl"
+        assert main(["evaluate", "--pairs", str(pairs_file), "--out", str(out),
+                     "--pesq", str(pesq)]) == 1
+        assert capsys.readouterr().err == f"error: {pesq}:2: missing key 'pesq'\n"
 
     def test_jobs_flag(self, pairs):
         base, pairs_file = pairs

@@ -127,6 +127,12 @@ class TestWavIO:
         with pytest.raises(ValueError, match="truncated"):
             load_wav(p)
 
+    def test_non_finite_samples_rejected(self, tmp_path):
+        p = tmp_path / "nan.wav"
+        save_wav(p, SampleBuffer(16000, np.array([0.1, np.nan, 0.2, -np.inf])))
+        with pytest.raises(ValueError, match=r"nan\.wav: 2 non-finite samples"):
+            load_wav(p)
+
     def test_not_a_wav(self, tmp_path):
         p = tmp_path / "x.wav"
         p.write_bytes(b"this is not audio")
