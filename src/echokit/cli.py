@@ -295,7 +295,8 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> int:
              for _, rec in records]
     pesq_by_id = {}
     if args.pesq:
-        for _, rec in dataset.read_json_lines(args.pesq, ("id", "pesq")):
+        for _, rec in dataset.read_json_lines(args.pesq, ("id", "pesq"),
+                                              numbers=("pesq",)):
             pesq_by_id[rec["id"]] = float(rec["pesq"])
 
     def work(item):

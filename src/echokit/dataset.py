@@ -85,7 +85,7 @@ class Manifest:
     def load(cls, path, check_paths: bool = True) -> "Manifest":
         base = Path(path).parent
         entries = []
-        for ln, rec in read_json_lines(path, RECORD_KEYS):
+        for ln, rec in read_json_lines(path, RECORD_KEYS, numbers=("duration_s",)):
             entry = ManifestEntry.from_record(rec)
             if check_paths:
                 p = Path(entry.path)
@@ -100,11 +100,12 @@ class Manifest:
         return p if p.is_absolute() else Path(base) / p
 
 
-def read_json_lines(path, keys=()) -> list:
+def read_json_lines(path, keys=(), numbers=()) -> list:
     """(line number, record) for every nonblank line of a JSON-lines file.
 
-    A line that is not a JSON object, or that lacks one of ``keys``, raises
-    ValueError naming PATH:LINE.
+    A line that is not a JSON object, that lacks one of ``keys``, or whose
+    value under one of ``numbers`` is not a finite JSON number (null, a
+    string, a bool, NaN) raises ValueError naming PATH:LINE.
     """
     records = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -119,8 +120,16 @@ def read_json_lines(path, keys=()) -> list:
         for key in keys:
             if key not in rec:
                 raise ValueError(f"{path}:{ln}: missing key {key!r}")
+        for key in numbers:
+            if key in rec and not _is_number(rec[key]):
+                raise ValueError(f"{path}:{ln}: key {key!r} must be a number")
         records.append((ln, rec))
     return records
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,9 @@ def build_mixtures(clean: Manifest, noise: Manifest, spec: MixSpec,
     one SNR per mixture is sampled from ``spec.snr_grid``, all from a single
     generator seeded with ``spec.seed``.  Mixture WAVs are written to
     ``out_dir`` as float32 and the returned manifest records the provenance
-    (clean id, noise id, SNR, seed) of every file.
+    (clean id, noise id, SNR, seed) of every file.  Noises are loaded when
+    first drawn; if any load or write fails, the mixtures this call already
+    wrote are removed before the error propagates.
     """
     if out_dir is None:
         raise ValueError("out_dir is required")
@@ -197,27 +208,35 @@ def build_mixtures(clean: Manifest, noise: Manifest, spec: MixSpec,
     grid = np.asarray(spec.snr_grid, dtype=np.float64)
     noise_cache: dict = {}
     out_entries = []
-    for c in clean_entries:
-        chosen = rng.choice(len(pool), size=noises_per_clean, replace=False)
-        snr_picks = rng.integers(0, len(grid), size=noises_per_clean)
-        clean_buf = load_wav(clean.resolve_path(c, clean_base))
-        for j, snr_i in zip(chosen, snr_picks):
-            nid = pool[int(j)]
-            snr_db = float(grid[int(snr_i)])
-            if nid not in noise_cache:
-                noise_cache[nid] = load_wav(noise.resolve_path(noise_by_id[nid], noise_base))
-            mixture = mix_at_snr(clean_buf, noise_cache[nid], snr_db)
-            name = f"{c.id}__{nid}__snr{snr_db:+g}.wav"
-            save_wav(out_dir / name, mixture, encoding="float32")
-            out_entries.append(ManifestEntry(
-                id=f"{c.id}__{nid}",
-                speaker_id=c.speaker_id,
-                path=name,
-                duration_s=len(mixture) / mixture.fs,
-                kind="noisy",
-                extra={"clean_id": c.id, "noise_id": nid,
-                       "snr_db": snr_db, "seed": spec.seed},
-            ))
+    written = []
+    try:
+        for c in clean_entries:
+            chosen = rng.choice(len(pool), size=noises_per_clean, replace=False)
+            snr_picks = rng.integers(0, len(grid), size=noises_per_clean)
+            clean_buf = load_wav(clean.resolve_path(c, clean_base))
+            for j, snr_i in zip(chosen, snr_picks):
+                nid = pool[int(j)]
+                snr_db = float(grid[int(snr_i)])
+                if nid not in noise_cache:
+                    noise_cache[nid] = load_wav(
+                        noise.resolve_path(noise_by_id[nid], noise_base))
+                mixture = mix_at_snr(clean_buf, noise_cache[nid], snr_db)
+                name = f"{c.id}__{nid}__snr{snr_db:+g}.wav"
+                written.append(out_dir / name)
+                save_wav(out_dir / name, mixture, encoding="float32")
+                out_entries.append(ManifestEntry(
+                    id=f"{c.id}__{nid}",
+                    speaker_id=c.speaker_id,
+                    path=name,
+                    duration_s=len(mixture) / mixture.fs,
+                    kind="noisy",
+                    extra={"clean_id": c.id, "noise_id": nid,
+                           "snr_db": snr_db, "seed": spec.seed},
+                ))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return Manifest(out_entries)
 
 

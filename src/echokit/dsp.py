@@ -145,8 +145,8 @@ def filter_apply(filt: FilterCascade, x: SampleBuffer) -> SampleBuffer:
     """Run the cascade over x (direct-form II transposed, zero initial state)."""
     if x.fs != filt.fs:
         raise ValueError("sample rate of signal does not match filter design rate")
-    # sosfilt wants writable buffers; our arrays are frozen after construction
-    y = sig.sosfilt(np.array(filt.sos), np.array(x.samples))
+    # sosfilt needs a writable sos (ours is frozen); it copies x itself
+    y = sig.sosfilt(np.array(filt.sos), x.samples)
     return SampleBuffer(x.fs, y)
 
 

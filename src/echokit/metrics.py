@@ -29,6 +29,8 @@ STOI_MIN_FREQ = 150.0
 STOI_SEG_FRAMES = 30
 STOI_BETA = -15.0
 STOI_DYN_RANGE = 40.0
+# segments per block: one bands x block x 30 float64 temporary is 1.8 MB
+STOI_SEG_BLOCK = 512
 
 LSD_EPS = 1e-10
 SSIM_WINDOW = 8
@@ -39,7 +41,8 @@ def stoi(clean: SampleBuffer, processed: SampleBuffer) -> float:
 
     Both inputs must be 16 kHz and equally long; the clean signal decides
     which frames count as speech.  Raises if fewer than one 384 ms segment
-    of active speech remains.
+    of active speech remains.  Segments are scored as arrays, in blocks of
+    ``STOI_SEG_BLOCK``, bit-identical to scoring them one at a time.
     """
     if clean.fs != 16000 or processed.fs != 16000:
         raise ValueError("stoi expects 16 kHz inputs")
@@ -61,17 +64,7 @@ def stoi(clean: SampleBuffer, processed: SampleBuffer) -> float:
     octband = _third_octave_bands(STOI_FS, STOI_N_FFT, STOI_NUM_BANDS, STOI_MIN_FREQ)
     xb = np.sqrt(octband @ (np.abs(spec_x) ** 2).T)  # bands x frames
     yb = np.sqrt(octband @ (np.abs(spec_y) ** 2).T)
-    clip = 10.0 ** (-STOI_BETA / 20.0)
-    scores = []
-    for m in range(STOI_SEG_FRAMES, n_frames + 1):
-        xs = xb[:, m - STOI_SEG_FRAMES:m]
-        ys = yb[:, m - STOI_SEG_FRAMES:m]
-        nx = np.linalg.norm(xs, axis=1)
-        ny = np.linalg.norm(ys, axis=1)
-        alpha = np.divide(nx, ny, out=np.zeros_like(nx), where=ny > 0)
-        ys_n = np.minimum(ys * alpha[:, None], xs * (1.0 + clip))
-        scores.append(_band_correlations(xs, ys_n))
-    return float(np.mean(scores))
+    return _segment_score(xb, yb)
 
 
 def lsd(s_ref: np.ndarray, s_est: np.ndarray, eps: float = LSD_EPS) -> float:
@@ -188,6 +181,12 @@ def _frame_signal(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
 
 
 def _remove_silent_frames(x, y, dyn_range, frame, hop):
+    """Drop frames more than dyn_range dB below the loudest clean frame and
+    overlap-add the kept windowed frames of both signals.
+
+    The overlap-add is ``frame // hop`` strided slab adds (``frame`` must be
+    a multiple of ``hop``), bit-identical to adding the frames one by one.
+    """
     w = _matlab_hanning(frame)
     xf = _frame_signal(x, frame, hop) * w
     yf = _frame_signal(y, frame, hop) * w
@@ -195,14 +194,19 @@ def _remove_silent_frames(x, y, dyn_range, frame, hop):
         return x, y
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(np.float64).eps)
     mask = energies > energies.max() - dyn_range
-    xf, yf = xf[mask], yf[mask]
-    out_len = (xf.shape[0] - 1) * hop + frame if xf.shape[0] else 0
-    x_sil = np.zeros(out_len)
-    y_sil = np.zeros(out_len)
-    for i in range(xf.shape[0]):
-        x_sil[i * hop:i * hop + frame] += xf[i]
-        y_sil[i * hop:i * hop + frame] += yf[i]
-    return x_sil, y_sil
+    return _overlap_add(xf[mask], hop), _overlap_add(yf[mask], hop)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    n, frame = frames.shape
+    k = frame // hop
+    assert k * hop == frame, "frame length must be a multiple of hop"
+    out = np.zeros((n + k - 1 if n else 0, hop))
+    # slice j of frame i lands on row i + j; adding the slices in descending
+    # j adds each sample's terms in ascending frame order, as the frame loop did
+    for j in reversed(range(k)):
+        out[j:j + n] += frames[:, j * hop:(j + 1) * hop]
+    return out.ravel()
 
 
 def _stoi_stft(x: np.ndarray) -> np.ndarray:
@@ -226,13 +230,43 @@ def _third_octave_bands(fs: int, n_fft: int, num_bands: int,
     return bands
 
 
+def _segment_score(xb: np.ndarray, yb: np.ndarray) -> float:
+    """Mean correlation over all 30-frame segments of the bands x frames
+    envelopes xb (clean) and yb (processed, normalised and clipped per
+    segment).  Each block of at most ``STOI_SEG_BLOCK`` segments is one pass
+    over bands x segments x 30 window views, so no temporary grows with the
+    input; the result is bit-identical to a loop over single segments.
+    """
+    clip = 10.0 ** (-STOI_BETA / 20.0)
+    xw = np.lib.stride_tricks.sliding_window_view(xb, STOI_SEG_FRAMES, axis=1)
+    yw = np.lib.stride_tricks.sliding_window_view(yb, STOI_SEG_FRAMES, axis=1)
+    rows = []
+    for s in range(0, xw.shape[1], STOI_SEG_BLOCK):
+        xs = xw[:, s:s + STOI_SEG_BLOCK]
+        ys = yw[:, s:s + STOI_SEG_BLOCK]
+        nx = np.linalg.norm(xs, axis=-1, keepdims=True)
+        ny = np.linalg.norm(ys, axis=-1, keepdims=True)
+        alpha = np.divide(nx, ny, out=np.zeros_like(nx), where=ny > 0)
+        ys_n = np.minimum(ys * alpha, xs * (1.0 + clip))
+        rows.append(_band_correlations(xs, ys_n))
+    # the mean of a C-contiguous segments x bands array sums in the order
+    # np.mean(list of per-segment rows) does; a transposed view does not
+    return float(np.mean(np.ascontiguousarray(np.concatenate(rows, axis=1).T)))
+
+
 def _band_correlations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    xm = xs - xs.mean(axis=1, keepdims=True)
-    ym = ys - ys.mean(axis=1, keepdims=True)
-    nx = np.linalg.norm(xm, axis=1)
-    ny = np.linalg.norm(ym, axis=1)
+    """Correlation of xs and ys along the last axis (frames of a segment).
+
+    Takes bands x frames or bands x segments x frames; each correlation is
+    computed exactly as for a single segment.  Two constant envelopes
+    correlate as 1.0, one constant envelope as 0.0.
+    """
+    xm = xs - xs.mean(axis=-1, keepdims=True)
+    ym = ys - ys.mean(axis=-1, keepdims=True)
+    nx = np.linalg.norm(xm, axis=-1)
+    ny = np.linalg.norm(ym, axis=-1)
     den = nx * ny
-    num = np.sum(xm * ym, axis=1)
+    num = np.sum(xm * ym, axis=-1)
     r = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     both_flat = (nx == 0) & (ny == 0)
     r[both_flat] = 1.0

@@ -182,6 +182,37 @@ class TestMixSplit:
         assert not list((corpus / "m").glob("*.wav"))
         assert not (corpus / "m.jsonl").exists()
 
+    def test_mix_failure_removes_written_mixtures(self, corpus, capsys):
+        save_wav(corpus / "n1.wav", SampleBuffer(16000, np.r_[np.ones(3199), np.nan]))
+        Manifest([ManifestEntry(f"n{i}", "noise", f"n{i}.wav", 0.2, "noise")
+                  for i in range(2)]).save(corpus / "bad.jsonl")
+        # with this seed the first clean draws n0, then the bad n1
+        assert list(np.random.default_rng(1).choice(2, size=2, replace=False)) == [0, 1]
+        rc = main(["mix", "--clean", str(corpus / "clean.jsonl"),
+                   "--noise", str(corpus / "bad.jsonl"),
+                   "--out-dir", str(corpus / "m"), "--manifest-out",
+                   str(corpus / "m.jsonl"), "--seed", "1", "--noises-per-clean", "2"])
+        assert rc == 1
+        assert "n1.wav: 1 non-finite samples" in capsys.readouterr().err
+        assert not list((corpus / "m").glob("*.wav"))
+        assert not (corpus / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("duration", [None, "abc"])
+    def test_manifest_non_numeric_duration_is_one_line_error(self, duration, tmp_path,
+                                                            capsys):
+        manifest = tmp_path / "all.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "a", "speaker_id": "s", "path": "a.wav",
+                        "duration_s": 1.0, "kind": "clean"}) + "\n"
+            + json.dumps({"id": "b", "speaker_id": "s", "path": "b.wav",
+                          "duration_s": duration, "kind": "clean"}) + "\n")
+        rc = main(["split", "--manifest", str(manifest),
+                   "--train-out", str(tmp_path / "train.jsonl"),
+                   "--test-out", str(tmp_path / "test.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {manifest}:2: key 'duration_s' must be a number\n"
+
     def test_manifest_missing_key_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "all.jsonl"
         manifest.write_text(
@@ -271,6 +302,17 @@ class TestEvaluate:
         assert main(["evaluate", "--pairs", str(pairs_file), "--out", str(out),
                      "--pesq", str(pesq)]) == 1
         assert capsys.readouterr().err == f"error: {pesq}:2: missing key 'pesq'\n"
+
+    @pytest.mark.parametrize("value", [None, "abc"])
+    def test_pesq_non_numeric_is_one_line_error(self, value, pairs, capsys):
+        base, pairs_file = pairs
+        pesq = base / "pesq.jsonl"
+        pesq.write_text(json.dumps({"id": "p0", "pesq": value}) + "\n")
+        out = base / "report.jsonl"
+        assert main(["evaluate", "--pairs", str(pairs_file), "--out", str(out),
+                     "--pesq", str(pesq)]) == 1
+        assert capsys.readouterr().err == f"error: {pesq}:1: key 'pesq' must be a number\n"
+        assert not out.exists()
 
     def test_jobs_flag(self, pairs):
         base, pairs_file = pairs
